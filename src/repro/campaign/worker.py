@@ -15,7 +15,6 @@ results.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import pickle
@@ -25,7 +24,8 @@ import traceback
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..chaos import ChaosEngine, FaultSchedule
-from ..snapshot import Snapshot, fork
+from ..sim import gcpolicy
+from ..snapshot import Snapshot, discard, fork
 from .signature import scenario_signature, signature_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,9 +85,7 @@ def _cow_eval(net, schedule: FaultSchedule, cfg: "CampaignConfig") -> dict:
     pid = os.fork()
     if pid == 0:                                   # child
         os.close(rd)
-        # One short-lived scenario on a large inherited heap: a gen-2
-        # collection would dirty every COW page for nothing.
-        gc.disable()
+        gcpolicy.cow_child()
         code = 0
         try:
             payload = ("ok", run_scenario(net, schedule, cfg))
@@ -136,7 +134,6 @@ class ScenarioEvaluator:
         self.cfg = cfg
         self.evals = 0
         self._net = None
-        self._froze = False
         self._procs: List[multiprocessing.Process] = []
         self._requests = None
         self._results = None
@@ -156,10 +153,9 @@ class ScenarioEvaluator:
 
     def _materialize(self) -> None:
         if self._net is None:
-            self._net = fork(self.snap)
-            gc.collect()
-            gc.freeze()
-            self._froze = True
+            with gcpolicy.frozen_image():
+                net = fork(self.snap)
+            self._net = net
 
     # -- evaluation --------------------------------------------------------
 
@@ -226,15 +222,9 @@ class ScenarioEvaluator:
                 proc.terminate()
         self._procs = []
         if self._net is not None:
-            try:
-                self._net.destroy()
-            except Exception:
-                pass
+            discard(self._net, site="campaign-close")
             self._net = None
-        if self._froze:
-            self._froze = False
-            gc.unfreeze()
-            gc.collect()
+            gcpolicy.release_image()
 
     def __enter__(self) -> "ScenarioEvaluator":
         return self

@@ -42,7 +42,7 @@ from ..provenance import (
     StateTimeline,
     explain_prefix,
 )
-from ..sim import Environment, Event
+from ..sim import Environment, Event, gcpolicy
 from ..topology.graph import Topology
 from ..verify.batfish import ControlPlaneSimulator
 from ..virt.cloud import Cloud, VirtualMachine, VmSku
@@ -1299,16 +1299,21 @@ class CrystalNet:
         start = self.env.now
         deadline = start + timeout
         quiet_since: Optional[float] = None
-        while self.env.now < deadline:
-            if self._all_quiescent():
-                if quiet_since is None:
-                    quiet_since = self.env.now
-                elif self.env.now - quiet_since >= settle:
-                    self.record_timeline("converged")
-                    return quiet_since - start
-            else:
-                quiet_since = None
-            self.env.run(until=min(deadline, self.env.now + ROUTE_READY_POLL))
+        # One scope across the polls: each env.run() returning would
+        # otherwise be a phase boundary where a deferred full
+        # collection may land.
+        with gcpolicy.bulk_phase():
+            while self.env.now < deadline:
+                if self._all_quiescent():
+                    if quiet_since is None:
+                        quiet_since = self.env.now
+                    elif self.env.now - quiet_since >= settle:
+                        self.record_timeline("converged")
+                        return quiet_since - start
+                else:
+                    quiet_since = None
+                self.env.run(
+                    until=min(deadline, self.env.now + ROUTE_READY_POLL))
         raise OrchestratorError(f"no convergence within {timeout}s")
 
     def _all_quiescent(self) -> bool:

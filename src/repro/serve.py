@@ -37,7 +37,6 @@ hours of latency silently.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import pickle
@@ -47,7 +46,9 @@ import traceback
 from typing import Dict, List, Optional
 
 from .obs.schema import SCHEMA_VERSION
-from .snapshot import Delta, Snapshot, apply_delta, fork, network_fibs
+from .sim import gcpolicy
+from .snapshot import (Delta, Snapshot, apply_delta, discard, fork,
+                       network_fibs)
 
 __all__ = ["AdmissionError", "ServeError", "WhatIfServer"]
 
@@ -167,12 +168,7 @@ def _cow_verdict(ticket: int, delta: Delta, net, cache: _FibCache,
     pid = os.fork()
     if pid == 0:                                   # child
         os.close(rd)
-        # The child inherits a multi-million-object heap and lives for
-        # one sub-second verdict: a single gen-2 cycle collection would
-        # walk (and copy-on-write-dirty) all of it for nothing.
-        # Refcounting still frees the verdict's own acyclic garbage, and
-        # ``os._exit`` reclaims the rest wholesale.
-        gc.disable()
+        gcpolicy.cow_child()
         code = 0
         try:
             report = apply_delta(net, delta, timeout=timeout,
@@ -252,7 +248,6 @@ class WhatIfServer:
         self._closed = False
         self._net = None                      # materialized COW parent
         self._cache: Optional[_FibCache] = None
-        self._froze = False
         self._procs: List[multiprocessing.Process] = []
         self._requests = None
         self._results = None
@@ -285,17 +280,12 @@ class WhatIfServer:
         first-request latency can pay it up front.
         """
         if self._net is None:
-            self._net = fork(self.snap)
-            self._cache = _FibCache(self._net)
-            # Pre-fork hygiene: purge cycles once, then freeze the
-            # materialized image into the permanent generation so
-            # neither the parent's drain loop nor any COW child ever
-            # pays a cycle collection walking it (collections also
-            # write GC headers, dirtying shared pages).  ``close()``
-            # unfreezes.
-            gc.collect()
-            gc.freeze()
-            self._froze = True
+            # Frozen so that neither this process's drain loop nor any
+            # COW child ever walks the image; ``close()`` releases it.
+            with gcpolicy.frozen_image():
+                net = fork(self.snap)
+                cache = _FibCache(net)
+            self._net, self._cache = net, cache
 
     def submit(self, delta: Delta) -> int:
         """Enqueue one what-if request; returns its ticket.
@@ -394,16 +384,10 @@ class WhatIfServer:
                 proc.terminate()
         self._pending.clear()
         if self._net is not None:
-            try:
-                self._net.destroy()
-            except Exception:
-                pass
+            discard(self._net, site="whatif-close")
             self._net = None
             self._cache = None
-        if self._froze:
-            self._froze = False
-            gc.unfreeze()
-            gc.collect()
+            gcpolicy.release_image()
 
     def __enter__(self) -> "WhatIfServer":
         return self

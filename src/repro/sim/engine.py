@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from . import gcpolicy
+
 __all__ = [
     "Environment",
     "Event",
@@ -501,12 +503,13 @@ class Environment:
         count = 0
         start = self.now
         heap = self._heap
-        while True:
-            self._prune()
-            if not heap or heap[0][0] >= until:
-                break
-            self.step()
-            count += 1
+        with gcpolicy.bulk_phase():
+            while True:
+                self._prune()
+                if not heap or heap[0][0] >= until:
+                    break
+                self.step()
+                count += 1
         # How far events actually advanced the clock into this window,
         # before the clamp to the horizon: the window profiler's
         # granted-vs-consumed signal.
@@ -519,30 +522,38 @@ class Environment:
 
         ``until`` may be an absolute time, an :class:`Event` (whose value is
         returned; its failure re-raised), or ``None`` (drain everything).
+
+        A run only grows the heap (routes, timers, telemetry), so full
+        garbage collections wait until it returns
+        (:func:`repro.sim.gcpolicy.bulk_phase`); so does
+        :meth:`run_window`.
         """
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                self._prune()
-                if not self._heap:
-                    raise SimulationError(
-                        f"event {target.name!r} never fired; simulation starved"
-                    )
-                self.step()
-            if target.ok:
-                return target.value
-            exc = target.value
-            raise exc if isinstance(exc, BaseException) else SimulationError(exc)
+        with gcpolicy.bulk_phase():
+            if isinstance(until, Event):
+                target = until
+                while not target.processed:
+                    self._prune()
+                    if not self._heap:
+                        raise SimulationError(
+                            f"event {target.name!r} never fired; "
+                            f"simulation starved")
+                    self.step()
+                if target.ok:
+                    return target.value
+                exc = target.value
+                raise (exc if isinstance(exc, BaseException)
+                       else SimulationError(exc))
 
-        if until is None:
-            while self.peek() != float("inf"):
+            if until is None:
+                while self.peek() != float("inf"):
+                    self.step()
+                return None
+
+            deadline = float(until)
+            if deadline < self.now:
+                raise SimulationError(
+                    f"deadline {deadline} is in the past (now={self.now})")
+            while self.peek() <= deadline:
                 self.step()
+            self.now = deadline
             return None
-
-        deadline = float(until)
-        if deadline < self.now:
-            raise SimulationError(f"deadline {deadline} is in the past (now={self.now})")
-        while self.peek() <= deadline:
-            self.step()
-        self.now = deadline
-        return None

@@ -22,6 +22,7 @@ from .state import (
     SNAPSHOT_KIND,
     Snapshot,
     SnapshotError,
+    discard,
     fork,
     load,
     save,
@@ -40,6 +41,7 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "apply_delta",
+    "discard",
     "fork",
     "load",
     "network_fibs",

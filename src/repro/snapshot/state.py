@@ -32,16 +32,19 @@ from __future__ import annotations
 
 import json
 import pickle
+import traceback
 from dataclasses import dataclass
 from typing import List
 
 from ..obs import SimEventHook
+from ..obs.flight import write_flight_artifact
 from ..obs.schema import SCHEMA_VERSION, check_schema
+from ..sim import gcpolicy
 from ..sim.engine import Process
 from ..sim.shard import forbid_snapshot
 
-__all__ = ["Snapshot", "SnapshotError", "snapshot", "fork", "save", "load",
-           "SNAPSHOT_KIND"]
+__all__ = ["Snapshot", "SnapshotError", "snapshot", "fork", "discard",
+           "save", "load", "SNAPSHOT_KIND"]
 
 SNAPSHOT_KIND = "warm-snapshot"
 
@@ -112,7 +115,8 @@ def snapshot(net) -> Snapshot:
             f"{', '.join(busy)} (stop the health monitor / let in-flight "
             f"operations finish first)")
     try:
-        payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
+        with gcpolicy.bulk_phase():
+            payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise SnapshotError(f"emulation state is not serializable: "
                             f"{exc!r}") from exc
@@ -145,8 +149,9 @@ def fork(snap: Snapshot) -> "CrystalNet":
         raise SnapshotError(
             f"not a warm snapshot (kind={snap.header.get('kind')!r}); "
             f"cold descriptors restore via repro.core.snapshot.restore")
-    net = pickle.loads(snap.payload)
-    _rebuild_observability(net)
+    with gcpolicy.bulk_phase():
+        net = pickle.loads(snap.payload)
+        _rebuild_observability(net)
     return net
 
 
@@ -163,6 +168,32 @@ def _rebuild_observability(net) -> None:
     if isinstance(hook, SimEventHook):
         hook.reset()
     net._mem.sample(net)
+
+
+def discard(net, site: str) -> None:
+    """Tear down a materialized fork whose holder is closing.
+
+    The holder still has a worker pool to stop and a GC hold to release,
+    so a ``destroy()`` that fails is recorded rather than raised: counted
+    in the fork's ``repro_swallowed_errors_total``, written to its event
+    log and flight recorder — and, because the fork is dropped next, the
+    flight ring is persisted when ``$REPRO_FLIGHT_DIR`` is set.
+    """
+    try:
+        net.destroy()
+    except Exception as exc:
+        obs = net.obs
+        obs.metrics.counter(
+            "repro_swallowed_errors_total",
+            "Exceptions caught and suppressed, by device and site",
+        ).inc(device=net.emulation_id, site=site)
+        obs.events.emit("swallowed-error", subject=net.emulation_id,
+                        message=repr(exc), site=site)
+        obs.flight.note("swallowed-error", subject=net.emulation_id,
+                        site=site, message=repr(exc),
+                        traceback=traceback.format_exc())
+        write_flight_artifact([obs.flight.snapshot()],
+                              f"{site}-destroy-failed: {exc!r}")
 
 
 def save(snap: Snapshot, path: str) -> None:

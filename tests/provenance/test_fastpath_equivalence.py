@@ -7,11 +7,15 @@ asserts every observable artifact is byte-identical: FIB snapshots, the
 provenance network dump, and rendered netscope output.  Runs with both
 vendor-profile assignments so both aggregation quirk paths (inherit-best
 and reset-path) are covered on each side of the toggle.
+
+The GC policy (:mod:`repro.sim.gcpolicy`) gets the same treatment with
+its scope replaced by a null context manager: it has no kill switch in
+``src/`` because this row shows there is nothing for one to change.
 """
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.firmware.bgp.daemon import BgpDaemon
 from repro.firmware.bgp.messages import PathAttributes
 from repro.firmware.bgp.policy import PolicyContext
 from repro.provenance.dump import dump_json
+from repro.sim import gcpolicy
 from repro.tools.netscope import main as netscope
 
 from .conftest import P3, build_fig1
@@ -79,14 +84,29 @@ def test_provenance_dumps_byte_identical(on_off):
     assert on[1] == off[1]
 
 
+def explained(dump: str, path, capsys) -> list:
+    """``netscope explain`` of the aggregate on the three routers that
+    see it, rendered from ``dump``."""
+    path.write_text(dump)
+    outputs = []
+    for device in ("r6", "r7", "r8"):
+        assert netscope(["explain", str(path), device, P3]) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
 def test_netscope_explain_byte_identical(on_off, tmp_path, capsys):
-    rendered = []
-    for tag, (_, dump) in zip(("on", "off"), on_off):
-        path = tmp_path / f"{tag}.json"
-        path.write_text(dump)
-        outputs = []
-        for device in ("r6", "r7", "r8"):
-            assert netscope(["explain", str(path), device, P3]) == 0
-            outputs.append(capsys.readouterr().out)
-        rendered.append(outputs)
-    assert rendered[0] == rendered[1]
+    (_, on), (_, off) = on_off
+    assert (explained(on, tmp_path / "on.json", capsys)
+            == explained(off, tmp_path / "off.json", capsys))
+
+
+@pytest.mark.parametrize("vendors", VENDOR_ORDERS,
+                         ids=["r6=ctnr-a", "r6=ctnr-b"])
+def test_gc_scope_changes_no_state(vendors, monkeypatch, tmp_path, capsys):
+    scoped = snapshot(*vendors)
+    monkeypatch.setattr(gcpolicy, "bulk_phase", nullcontext)
+    bare = snapshot(*vendors)
+    assert scoped == bare                   # FIBs and provenance dump
+    assert (explained(scoped[1], tmp_path / "scoped.json", capsys)
+            == explained(bare[1], tmp_path / "bare.json", capsys))

@@ -7,10 +7,15 @@ deterministic ``report`` core — and admission control pushes back
 instead of queueing unboundedly.
 """
 
+import gc
+import json
+
 import pytest
 
+from repro.campaign import CampaignConfig, ScenarioEvaluator
 from repro.serve import AdmissionError, ServeError, WhatIfServer
 from repro.snapshot import LinkCut, PolicyEdit
+from repro.virt.cloud import CloudError
 
 from .conftest import policy_edit_text, spine_link
 
@@ -83,3 +88,44 @@ def test_max_pending_must_be_positive(warm_lab):
     mix, net, snap = warm_lab
     with pytest.raises(ValueError):
         WhatIfServer(snap, max_pending=0)
+
+
+def _materialized_server(snap):
+    server = WhatIfServer(snap)
+    server.materialize()
+    return server
+
+
+def _materialized_evaluator(snap):
+    evaluator = ScenarioEvaluator(snap, CampaignConfig())
+    evaluator._materialize()
+    return evaluator
+
+
+@pytest.mark.parametrize("opened, site", [
+    (_materialized_server, "whatif-close"),
+    (_materialized_evaluator, "campaign-close")])
+def test_close_records_a_failing_teardown(warm_lab, opened, site,
+                                          monkeypatch, tmp_path):
+    """``close()`` finishes its own cleanup when the image's teardown
+    fails, and leaves the failure where an operator can find it."""
+    mix, net, snap = warm_lab
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+    holder = opened(snap)
+    image = holder._net
+
+    def refuse():
+        raise CloudError("unknown VM vm-0")
+    image.destroy = refuse
+    holder.close()
+    assert holder._net is None
+    assert gc.get_freeze_count() == 0            # the hold was released
+    assert image.obs.metrics.value(
+        "repro_swallowed_errors_total",
+        device=image.emulation_id, site=site) == 1
+    with open(tmp_path / f"flight-{site}-destroy-failed.json") as fh:
+        notes = [entry for shard in json.load(fh)["shards"]
+                 for entry in shard["entries"]
+                 if entry["kind"] == "swallowed-error"]
+    assert notes[-1]["detail"]["site"] == site
+    assert "CloudError" in notes[-1]["detail"]["traceback"]
