@@ -217,7 +217,9 @@ class SpeakerOS:
         return sum(1 for s in self.sessions.values()
                    if s.state == "established")
 
-    def pull_states(self) -> dict:
+    def pull_states(self, memo: Optional[dict] = None) -> dict:
+        """PullStates for a speaker; ``memo`` is accepted for parity with
+        :meth:`DeviceOS.pull_states` and unused (no FIB or Loc-RIB)."""
         return {
             "hostname": self.hostname,
             "kind": "speaker",

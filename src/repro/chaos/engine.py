@@ -330,7 +330,12 @@ class ChaosEngine:
         """Commit one timeline snapshot (no-op without enable_timeline)."""
         timeline = getattr(self.net, "timeline", None)
         if timeline is not None and self.net.devices:
-            timeline.record(label, self.net.pull_states())
+            # The checker's render memo, shared with golden capture and
+            # check(): between two recovery polls almost no device's
+            # tables move, so a sample re-renders only those that did.
+            memo = self.checker.memo
+            timeline.record(label, self.net.pull_states(memo=memo),
+                            memo=memo)
 
     def _blame(self, record: FaultRecord, fault_ref: str,
                injected_at: float) -> Optional["BlastRadius"]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..snapshot.deltas import network_fibs
 from ..verify.fibdiff import FibComparator, RawFib
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +60,11 @@ class InvariantChecker:
         self.monitor = monitor
         self.comparator = FibComparator(nondeterministic_prefixes)
         self.golden: Optional[Dict[str, RawFib]] = None
+        # Per-device render memo (``CrystalNet.pull_states(memo=...)``),
+        # shared with the ChaosEngine driving this checker.  Lives here,
+        # never on the net: a net nobody samples holds no renders.  None
+        # renders every read fresh.
+        self.memo: Optional[Dict[str, dict]] = {}
         # speaker-side interface IP value -> (speaker name, static prefixes)
         self._speaker_static: Dict[int, Tuple[str, Set[str]]] = {}
 
@@ -71,12 +77,10 @@ class InvariantChecker:
         return self.golden
 
     def _current_fibs(self) -> Dict[str, RawFib]:
-        fibs: Dict[str, RawFib] = {}
-        for name, record in self.net.devices.items():
-            if record.kind == "speaker" or record.guest is None:
-                continue
-            fibs[name] = record.guest.pull_states().get("fib", [])
-        return fibs
+        devices = self.net.devices
+        return {name: fib
+                for name, fib in network_fibs(self.net, self.memo).items()
+                if devices[name].kind != "speaker"}
 
     def _speaker_static_sets(self) -> Dict[int, Tuple[str, Set[str]]]:
         out: Dict[int, Tuple[str, Set[str]]] = {}

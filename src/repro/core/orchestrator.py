@@ -30,6 +30,7 @@ from ..config.dialects import parse_config, render_config
 from ..config.generator import ConfigGenerator
 from ..config.model import DeviceConfig
 from ..firmware.device import DeviceOS, PacketRecord
+from ..firmware.fib import device_memo
 from ..firmware.vendors.profiles import VendorProfile, get_vendor
 from ..net.ip import IPv4Address
 from ..obs import EnvClock, MemoryMonitor, NULL_MEMORY_MONITOR, Observability
@@ -1238,7 +1239,17 @@ class CrystalNet:
                 "per_shard": {k: per_shard[k] for k in sorted(per_shard)},
                 "network": network, "process_max": process_max}
 
-    def pull_states(self, device: Optional[str] = None) -> dict:
+    def pull_states(self, device: Optional[str] = None,
+                    memo: Optional[Dict[str, dict]] = None) -> dict:
+        """PullStates for one device, or ``{device: document}`` for all.
+
+        ``memo`` is a caller-owned network render memo
+        (:func:`repro.firmware.fib.device_memo`) kept by code that samples
+        repeatedly (the chaos engine); each device reuses its FIB
+        and Loc-RIB renders from it while those tables are unchanged (see
+        :func:`repro.firmware.fib.reuse_render`).  Renders are shared and
+        read-only.  The sharded path ignores it.
+        """
         if self._coordinator is not None:
             states = self._coordinator.pull_states()
             if device is not None:
@@ -1252,8 +1263,9 @@ class CrystalNet:
                     for name in self.emulated + self.speakers
                     if name in states}
         if device is not None:
-            return self._device_record(device).guest.pull_states()
-        return {name: record.guest.pull_states()
+            return self._device_record(device).guest.pull_states(
+                device_memo(memo, device))
+        return {name: record.guest.pull_states(device_memo(memo, name))
                 for name, record in self.devices.items()
                 if record.guest is not None}
 

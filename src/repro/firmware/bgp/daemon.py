@@ -28,7 +28,8 @@ from ...provenance.chain import (
     origin_ref,
 )
 from ...sim import Environment
-from ..fib import Fib, FibEntry, FibFullError, FirmwareCrash, NextHop
+from ..fib import (Fib, FibEntry, FibFullError, FirmwareCrash, NextHop,
+                   reuse_render)
 from ..netstack import HostStack, StackError
 from ..vendors.profiles import VendorProfile
 from ..worker import SerialWorker
@@ -1029,17 +1030,24 @@ class BgpDaemon:
                     for h in fib_entry.next_hops)}
         return out
 
-    def rib_snapshot(self) -> Dict[str, object]:
+    def rib_snapshot(self, memo: Optional[dict] = None) -> Dict[str, object]:
+        """The PullStates ``bgp`` document.  With a caller-owned per-device
+        ``memo`` the ``loc_rib`` render is reused while the Loc-RIB's
+        identity and version hold; everything else is rendered fresh."""
         return {
             "asn": self.asn,
             "router_id": str(self.router_id),
             "sessions": {str(s.peer_ip): s.state
                          for s in self.sessions.values()},
-            "loc_rib": {str(p): [list(r.attrs.as_path) for r in multi]
-                        for p, _b, multi in self.loc_rib.items()},
+            "loc_rib": reuse_render(memo, "rib", self.loc_rib,
+                                    self._render_loc_rib),
             "adj_in_routes": self.adj_in.route_count(),
             "errors": list(self.errors),
         }
+
+    def _render_loc_rib(self) -> Dict[str, list]:
+        return {str(p): [list(r.attrs.as_path) for r in multi]
+                for p, _b, multi in self.loc_rib.items()}
 
 
 def _peer_key(route: Route) -> int:

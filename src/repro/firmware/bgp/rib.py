@@ -112,7 +112,15 @@ class LocRib:
     :meth:`prefixes` call sorts once instead of every caller paying
     O(n log n) per visit.  Callers must treat the returned list as
     immutable (every in-tree consumer only iterates it).
+
+    ``version`` moves on every ``set()`` and every effective ``remove()``,
+    so an unchanged version means an unchanged table (the contract
+    :func:`repro.firmware.fib.reuse_render` relies on).  It is a class
+    attribute so a LocRib unpickled from a snapshot saved before the
+    counter existed still reads 0; the first bump makes it per-instance.
     """
+
+    version = 0
 
     def __init__(self):
         self._selected: Dict[Prefix, Tuple[Route, Tuple[Route, ...]]] = {}
@@ -123,11 +131,13 @@ class LocRib:
         if prefix not in self._selected:
             self._order_dirty = True
         self._selected[prefix] = (best, multipath)
+        self.version += 1
 
     def remove(self, prefix: Prefix) -> bool:
         removed = self._selected.pop(prefix, None) is not None
         if removed:
             self._order_dirty = True
+            self.version += 1
         return removed
 
     def best(self, prefix: Prefix) -> Optional[Route]:

@@ -30,7 +30,7 @@ from ..sim import Environment
 from ..virt.container import Container
 from .bgp.daemon import BgpDaemon
 from .cli import VendorCli
-from .fib import Fib
+from .fib import Fib, reuse_render
 from .netstack import HostStack
 from .vendors.profiles import VendorProfile
 from .worker import SerialWorker
@@ -241,19 +241,31 @@ class DeviceOS:
             return False
         return self.bgp is None or self.bgp.is_quiescent()
 
-    def pull_fib(self) -> list:
+    def pull_fib(self, memo: Optional[dict] = None) -> list:
         """The rendered FIB alone — the ``pull_states()["fib"]`` payload
         without the RIB snapshot (what-if verdicts diff thousands of FIBs
-        and must not pay for the rest of the state document)."""
+        and must not pay for the rest of the state document).
+
+        ``memo`` is a caller-owned per-device dict: with it, the render is
+        reused while ``(stack.fib identity, Fib.version)`` holds (see
+        :func:`~repro.firmware.fib.reuse_render`).  Never store one on the
+        device — it would ride into every snapshot of the net."""
         if self.stack is None:
             return []
+        return reuse_render(memo, "fib", self.stack.fib, self._render_fib)
+
+    def _render_fib(self) -> list:
         return [
             (str(p), sorted(str(h.ip) if h.ip else f"dev:{h.interface}"
                             for h in hops))
             for p, hops in self.stack.fib.routes()]
 
-    def pull_states(self) -> dict:
-        """The PullStates payload: FIB, RIB summary, sessions, resources."""
+    def pull_states(self, memo: Optional[dict] = None) -> dict:
+        """The PullStates payload: FIB, RIB summary, sessions, resources.
+
+        ``memo`` (caller-owned, per device) lets the FIB and Loc-RIB
+        renders be reused while their tables are unchanged; status,
+        counters, sessions and errors are always rendered fresh."""
         out = {
             "hostname": self.hostname,
             "vendor": self.vendor.name,
@@ -261,11 +273,11 @@ class DeviceOS:
             "config_errors": list(self.config_errors),
         }
         if self.stack is not None:
-            out["fib"] = self.pull_fib()
+            out["fib"] = self.pull_fib(memo)
             out["counters"] = dict(self.stack.counters)
             out["fib_overflow_drops"] = self.stack.fib.overflow_drops
         if self.bgp is not None:
-            out["bgp"] = self.bgp.rib_snapshot()
+            out["bgp"] = self.bgp.rib_snapshot(memo)
         return out
 
     def inject_packet(self, src: IPv4Address, dst: IPv4Address,

@@ -20,7 +20,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..net.ip import IPv4Address, Prefix
 from ..net.trie import PrefixTrie
 
-__all__ = ["NextHop", "FibEntry", "Fib", "FibFullError", "FirmwareCrash"]
+__all__ = ["NextHop", "FibEntry", "Fib", "FibFullError", "FirmwareCrash",
+           "reuse_render"]
 
 
 class FibFullError(Exception):
@@ -55,6 +56,39 @@ class FibEntry:
             raise ValueError(f"FIB entry {self.prefix} has no next hops")
 
 
+def device_memo(memo: Optional[Dict[str, dict]], device: str
+                ) -> Optional[dict]:
+    """One device's slot in a caller-owned network render memo.
+
+    A network memo maps ``device -> {key: (inputs..., render)}``; the
+    keys are ``"fib"`` and ``"rib"`` (:func:`reuse_render`) and
+    ``"shaped"`` (:meth:`repro.provenance.StateTimeline.state_of`).
+    ``memo=None`` stays None, so every read renders fresh.
+    """
+    return None if memo is None else memo.setdefault(device, {})
+
+
+def reuse_render(memo: Optional[dict], key: str, table, render):
+    """``render()``, or the render ``memo[key]`` holds for this very table.
+
+    Versioned tables (:class:`Fib`, :class:`~repro.firmware.bgp.rib.LocRib`)
+    bump ``version`` on every mutation that can change what they render,
+    so a render is reusable while ``(table identity, version)`` holds.
+    The memo is owned by the caller that samples repeatedly and holds the
+    table itself (so identity cannot be recycled); returned renders are
+    shared and must be treated as read-only.  ``memo=None`` renders fresh.
+    """
+    if memo is None:
+        return render()
+    cached = memo.get(key)
+    version = table.version
+    if cached is not None and cached[0] is table and cached[1] == version:
+        return cached[2]
+    rendered = render()
+    memo[key] = (table, version, rendered)
+    return rendered
+
+
 class Fib:
     """LPM table with optional capacity and an overflow policy."""
 
@@ -68,9 +102,9 @@ class Fib:
         self.installed = 0
         self.overflow_drops = 0
         # Bumped on every effective table mutation (install/remove/clear);
-        # equal versions guarantee equal ``routes()`` output, so FIB
-        # renderers can reuse a prior snapshot instead of re-stringifying
-        # the whole table (the what-if fast path).
+        # equal versions of one table guarantee equal ``routes()`` output,
+        # so FIB renderers can reuse a prior render instead of
+        # re-stringifying the whole table (see ``reuse_render``).
         self.version = 0
         # LPM memo: next-hop resolution and source-address selection look
         # up the same handful of addresses thousands of times between

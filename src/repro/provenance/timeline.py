@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..firmware.fib import device_memo
 from ..obs import NULL_OBS
 from ..verify.fibdiff import FibComparator, FibDifference, RawFib
 
@@ -112,27 +113,43 @@ class StateTimeline:
     # -- recording ---------------------------------------------------------
 
     @staticmethod
-    def state_of(device_states: Dict[str, dict]) -> NetworkState:
+    def state_of(device_states: Dict[str, dict],
+                 memo: Optional[Dict[str, dict]] = None) -> NetworkState:
         """Shape ``pull_states``-style output into timeline state.
 
         Accepts ``{device: {"fib": [(prefix, [hops])], "bgp":
         {"loc_rib": {prefix: [as_path, ...]}}}}`` (extra keys ignored).
+        With the caller-owned per-device ``memo`` that produced the
+        documents (``CrystalNet.pull_states(memo=...)``), a device whose
+        FIB and Loc-RIB renders are the *same objects* as at its last
+        shaping gets its previous shaped state back, unbuilt.
         """
         out: NetworkState = {}
         for device, states in device_states.items():
-            fib = {prefix: sorted(hops)
-                   for prefix, hops in states.get("fib", ())}
-            rib = {prefix: paths
-                   for prefix, paths in
-                   (states.get("bgp", {}) or {}).get("loc_rib", {}).items()}
-            out[device] = {"fib": fib, "rib": rib}
+            fib_in = states.get("fib", ())
+            rib_in = (states.get("bgp", {}) or {}).get("loc_rib", {})
+            slot = device_memo(memo, device)
+            cached = None if slot is None else slot.get("shaped")
+            if (cached is not None and cached[0] is fib_in
+                    and cached[1] is rib_in):
+                out[device] = cached[2]
+                continue
+            shaped = {"fib": {prefix: sorted(hops)
+                              for prefix, hops in fib_in},
+                      "rib": dict(rib_in)}
+            if slot is not None:
+                slot["shaped"] = (fib_in, rib_in, shaped)
+            out[device] = shaped
         return out
 
     def record(self, label: str, device_states: Dict[str, dict],
-               time: Optional[float] = None) -> Optional[TimelineRecord]:
+               time: Optional[float] = None,
+               memo: Optional[Dict[str, dict]] = None
+               ) -> Optional[TimelineRecord]:
         """Commit a snapshot; returns the delta record (None if nothing
-        changed and a record already exists)."""
-        state = self.state_of(device_states)
+        changed and a record already exists).  ``memo``: see
+        :meth:`state_of`."""
+        state = self.state_of(device_states, memo)
         delta = self._delta(self._current, state)
         if not delta and self.records:
             return None
@@ -161,6 +178,8 @@ class StateTimeline:
         for device in sorted(set(old) | set(new)):
             old_dev = old.get(device, {})
             new_dev = new.get(device, {})
+            if old_dev is new_dev:
+                continue    # reused shaped state: unchanged by identity
             sets: Dict[str, dict] = {}
             dels: Dict[str, list] = {}
             for table in ("fib", "rib"):

@@ -84,43 +84,21 @@ class _FibCache:
 
     Rendering every device FIB costs seconds at L-DC, and a verdict
     needs two captures (before/after).  The parent renders once at
-    materialization; each forked child re-renders only the devices whose
-    ``Fib.version`` moved under the delta, returning the parent's
-    (copy-on-write-shared) lists for the untouched rest.  Equal versions
-    guarantee equal ``routes()`` output, so the result is byte-identical
-    to calling :func:`repro.snapshot.network_fibs` fresh.
+    materialization into a per-device render memo; each forked child
+    inherits the memo and re-renders only the devices whose FIB object
+    or ``Fib.version`` moved under the delta, returning the parent's
+    (copy-on-write-shared) lists for the untouched rest — which is what
+    lets :meth:`~repro.verify.fibdiff.FibComparator.diff` skip them by
+    identity.  The result is byte-identical to calling
+    :func:`repro.snapshot.network_fibs` without a memo.
     """
 
     def __init__(self, net):
-        self.fibs = network_fibs(net)
-        self.versions = self._versions(net)
-
-    @staticmethod
-    def _versions(net) -> Dict[str, Optional[int]]:
-        out: Dict[str, Optional[int]] = {}
-        for name, record in net.devices.items():
-            stack = getattr(record.guest, "stack", None)
-            fib = getattr(stack, "fib", None)
-            out[name] = None if fib is None else fib.version
-        return out
+        self.memo: Dict[str, dict] = {}
+        network_fibs(net, self.memo)
 
     def __call__(self, net) -> Dict[str, list]:
-        fresh = self._versions(net)
-        out: Dict[str, list] = {}
-        for name, record in net.devices.items():
-            guest = record.guest
-            if guest is None:
-                continue
-            puller = getattr(guest, "pull_fib", None)
-            if puller is None:
-                out[name] = []
-            elif (fresh.get(name) is not None
-                    and fresh[name] == self.versions.get(name)
-                    and name in self.fibs):
-                out[name] = self.fibs[name]
-            else:
-                out[name] = puller()
-        return out
+        return network_fibs(net, self.memo)
 
 
 def _snap_meta(snap: Snapshot) -> dict:

@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..firmware.fib import device_memo
 from ..net.ip import IPv4Address
 from ..obs.schema import SCHEMA_VERSION
 from ..verify.fibdiff import FibComparator, fibdiff_doc
@@ -200,13 +201,18 @@ def _short_sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def network_fibs(net) -> Dict[str, list]:
+def network_fibs(net, memo: Optional[Dict[str, dict]] = None
+                 ) -> Dict[str, list]:
     """Per-device raw FIBs, the :mod:`repro.verify.fibdiff` input shape.
 
     On an unsharded net this reads each device's FIB directly
     (``DeviceOS.pull_fib``) instead of rendering the full PullStates
     document — a verdict diffs two of these per request, and the RIB
-    snapshot the full document carries dwarfs the FIB itself.
+    snapshot the full document carries dwarfs the FIB itself.  ``memo``
+    is a caller-owned network render memo (see
+    :func:`repro.firmware.fib.device_memo`): devices whose FIB is
+    unchanged since the memo's last read return the *same* list object
+    (see :func:`repro.firmware.fib.reuse_render`).
     """
     if getattr(net, "_coordinator", None) is not None:
         return {name: states.get("fib", [])
@@ -217,7 +223,8 @@ def network_fibs(net) -> Dict[str, list]:
         if guest is None:
             continue
         puller = getattr(guest, "pull_fib", None)
-        out[name] = puller() if puller is not None else []
+        out[name] = (puller(device_memo(memo, name))
+                     if puller is not None else [])
     return out
 
 

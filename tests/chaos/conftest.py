@@ -6,6 +6,8 @@ exactly; a short post-mockup run lets the spare pool fill and keepalive
 schedules settle before faults start.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import CrystalNet, HealthMonitor
@@ -13,9 +15,11 @@ from repro.topology import SDC, build_clos
 
 
 def build_emulation(emulation_id, seed, *, spares=1, check_interval=5.0,
-                    mockup=True, settle=200.0):
+                    mockup=True, settle=200.0, vendors=None):
+    params = SDC() if vendors is None else dataclasses.replace(
+        SDC(), vendors=vendors)
     net = CrystalNet(emulation_id=emulation_id, seed=seed)
-    net.prepare(build_clos(SDC()))
+    net.prepare(build_clos(params))
     if mockup:
         net.mockup()
     monitor = HealthMonitor(net, check_interval=check_interval, spares=spares)
