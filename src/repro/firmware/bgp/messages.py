@@ -251,8 +251,9 @@ class UpdateMessage:
     """Announce ``nlri`` with shared ``attrs``; withdraw ``withdrawn``.
 
     ``provenance`` (when route provenance is enabled) carries one causal
-    hop chain per NLRI, index-aligned with ``nlri``; empty when tracing
-    is off.  It is metadata, not protocol state: excluded from equality
+    hop chain per NLRI, index-aligned with ``nlri``; each chain is a cons
+    list (see :mod:`repro.provenance.chain`).  Empty when tracing is
+    off.  It is metadata, not protocol state: excluded from equality
     and repr so message semantics are untouched.
     """
 

@@ -18,10 +18,11 @@ class Route:
     ``peer_ip`` is None for locally-originated routes (network statements,
     aggregates).
 
-    ``provenance`` is the causal hop chain that produced this entry
-    (see :mod:`repro.provenance.chain`); empty when tracing is off.  It
-    is excluded from equality so provenance-enabled and -disabled runs
-    make byte-identical routing decisions.
+    ``provenance`` is the causal hop chain that produced this entry, a
+    cons list ``(parent_chain, hop)`` that shares its prefix with every
+    other holder (see :mod:`repro.provenance.chain`); ``()`` when tracing
+    is off.  It is excluded from equality so provenance-enabled and
+    -disabled runs make byte-identical routing decisions.
     """
 
     prefix: Prefix

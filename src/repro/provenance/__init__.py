@@ -16,6 +16,7 @@ from .chain import (
     NullProvenance,
     ProvenanceTracker,
     chain_to_dicts,
+    hops,
     origin_ref,
 )
 from .dump import explain_prefix, network_dump
@@ -32,6 +33,7 @@ __all__ = [
     "TimelineRecord",
     "chain_to_dicts",
     "explain_prefix",
+    "hops",
     "network_dump",
     "origin_ref",
 ]

@@ -7,12 +7,17 @@ install — so any Adj-RIB-In/Loc-RIB/FIB entry can answer "why is this
 here?" with its complete origin-to-install history (the question the
 paper's Fig. 1 incident took operators days to answer on hardware).
 
-Chains are immutable tuples of frozen dataclasses: extending a chain is
-one tuple concatenation, sharing the prefix with every other holder, so
-the hot path stays allocation-light.  Determinism discipline matches the
-rest of the tree: ids come from per-device sequence counters and hop
-times from the sim clock — never the wall clock — so two pinned-seed
-runs export byte-identical provenance dumps.
+A chain is a persistent cons list: ``()`` is the empty chain and any
+other chain is the 2-tuple ``(parent_chain, hop)``, newest hop last.
+Extending a chain allocates that one 2-tuple and shares the whole
+prefix, by identity, with every other holder — an UPDATE fanned out to
+64 peers holds 64 cells over one common parent, not 64 copies of it.
+:func:`hops` unrolls a chain origin-first.  :class:`Hop` is a named
+tuple, so a warm snapshot pickles each one as its field tuple.
+Determinism discipline matches the rest of the tree: ids come from
+per-device sequence counters and hop times from the sim clock — never
+the wall clock — so two pinned-seed runs export byte-identical
+provenance dumps.
 
 The disabled twin :data:`NULL_PROVENANCE` mirrors the ``NULL_OBS``
 pattern: every mint/extend returns the empty chain, costing one method
@@ -21,8 +26,7 @@ call and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from ..obs import NULL_OBS
 
@@ -33,18 +37,19 @@ __all__ = [
     "NullProvenance",
     "NULL_PROVENANCE",
     "chain_to_dicts",
+    "hops",
     "origin_ref",
 ]
 
-# A causal chain: ordered hops from origination to the current holder.
-Chain = Tuple["Hop", ...]
+# A causal chain from origination to the current holder, as a cons list:
+# ``()`` or ``(parent_chain, newest_hop)``.
+Chain = Union[Tuple[()], Tuple["Chain", "Hop"]]
 
 # Hop actions that root a chain (and therefore carry a causal ``ref``).
 ROOT_ACTIONS = ("originate", "aggregate")
 
 
-@dataclass(frozen=True, slots=True)
-class Hop:
+class Hop(NamedTuple):
     """One causal step in a route's history.
 
     ``action`` is a short verb (originate / receive / import /
@@ -74,14 +79,25 @@ class Hop:
         return out
 
 
+def hops(chain: Chain) -> List[Hop]:
+    """A chain's hops, origin first."""
+    out = []
+    while chain:
+        chain, hop = chain
+        out.append(hop)
+    out.reverse()
+    return out
+
+
 def chain_to_dicts(chain: Chain) -> List[dict]:
-    return [hop.to_dict() for hop in chain]
+    return [hop.to_dict() for hop in hops(chain)]
 
 
 def origin_ref(chain: Chain) -> str:
     """The causal id of the most recent root hop (origination or
     aggregation) in a chain; empty for an empty chain."""
-    for hop in reversed(chain):
+    while chain:
+        chain, hop = chain
         if hop.ref:
             return hop.ref
     return ""
@@ -120,8 +136,8 @@ class ProvenanceTracker:
                   detail: str = "network") -> Chain:
         """Root a new chain at a local origination (network statement,
         static route, LSA origination)."""
-        return (Hop(action="originate", device=device, time=time,
-                    detail=detail, ref=self._mint(device, prefix)),)
+        return ((), Hop(action="originate", device=device, time=time,
+                        detail=detail, ref=self._mint(device, prefix)))
 
     def aggregate(self, device: str, prefix: object, time: float,
                   base: Chain, detail: str) -> Chain:
@@ -133,14 +149,14 @@ class ProvenanceTracker:
         so blame can attribute churn to the aggregation itself.
         """
         self._m_hops.inc()
-        return base + (Hop(action="aggregate", device=device, time=time,
-                           detail=detail, ref=self._mint(device, prefix)),)
+        return (base, Hop(action="aggregate", device=device, time=time,
+                          detail=detail, ref=self._mint(device, prefix)))
 
     def extend(self, chain: Chain, action: str, device: str, time: float,
                detail: str = "", peer: str = "") -> Chain:
         self._m_hops.inc()
-        return chain + (Hop(action=action, device=device, time=time,
-                            detail=detail, peer=peer),)
+        return (chain, Hop(action=action, device=device, time=time,
+                           detail=detail, peer=peer))
 
     # -- batch helpers -----------------------------------------------------
     #
@@ -148,7 +164,7 @@ class ProvenanceTracker:
     # session's advertisement flush) the appended hop is identical for
     # every prefix.  Hops are immutable, so the daemon builds it once
     # with :meth:`hop` and shares it across chains via :meth:`append` —
-    # one tuple concat per prefix instead of one Hop allocation.
+    # one 2-tuple cell per prefix instead of one Hop allocation.
 
     @staticmethod
     def hop(action: str, device: str, time: float,
@@ -158,7 +174,7 @@ class ProvenanceTracker:
 
     def append(self, chain: Chain, hop: Hop) -> Chain:
         self._m_hops.inc()
-        return chain + (hop,)
+        return (chain, hop)
 
 
 class NullProvenance:

@@ -9,8 +9,9 @@ sessions, their provenance chains), the virtual underlay, and the
 observability registries — so :func:`fork` materializes an independent,
 runnable mockup in O(state) instead of O(convergence).
 
-Format: a one-line JSON header (``schema_version``-stamped, readable
-without unpickling) followed by a pickle payload.  Interned
+Format: a one-line JSON header (``schema_version``- and
+``payload_format``-stamped, readable without unpickling) followed by a
+pickle payload.  Interned
 :class:`~repro.firmware.bgp.messages.PathAttributes` are rebuilt through
 ``intern()`` on load (see its ``__reduce__``), which both repairs the
 PYTHONHASHSEED-dependent hashes across processes and gives sibling
@@ -44,9 +45,18 @@ from ..sim.engine import Process
 from ..sim.shard import forbid_snapshot
 
 __all__ = ["Snapshot", "SnapshotError", "snapshot", "fork", "discard",
-           "save", "load", "SNAPSHOT_KIND"]
+           "save", "load", "SNAPSHOT_KIND", "PAYLOAD_FORMAT"]
 
 SNAPSHOT_KIND = "warm-snapshot"
+
+# Layout of the pickled object graph, stamped into every header and
+# checked before anything is unpickled.  Bump it whenever a type in the
+# snapshot graph changes how it pickles: a payload of another layout
+# would not fail to unpickle, it would unpickle into garbage.  Headers
+# without the field hold layout 1 (dataclass-state provenance hops in
+# flat chain tuples); layout 2 pickles named-tuple hops in cons-list
+# chains (see repro.provenance.chain).
+PAYLOAD_FORMAT = 2
 
 # The header line is ASCII JSON; the payload is an opaque pickle.
 _MAGIC = b"repro-warm-snapshot\n"
@@ -131,6 +141,7 @@ def snapshot(net) -> Snapshot:
         "links": len(net.links),
         "payload_bytes": len(payload),
         "pickle_protocol": pickle.HIGHEST_PROTOCOL,
+        "payload_format": PAYLOAD_FORMAT,
     }
     return Snapshot(header=header, payload=payload)
 
@@ -149,10 +160,23 @@ def fork(snap: Snapshot) -> "CrystalNet":
         raise SnapshotError(
             f"not a warm snapshot (kind={snap.header.get('kind')!r}); "
             f"cold descriptors restore via repro.core.snapshot.restore")
+    _check_payload_format(snap.header, source="warm snapshot")
     with gcpolicy.bulk_phase():
         net = pickle.loads(snap.payload)
         _rebuild_observability(net)
     return net
+
+
+def _check_payload_format(header: dict, source: str) -> None:
+    """Refuse a payload of another layout before unpickling it."""
+    found = header.get("payload_format")
+    if found != PAYLOAD_FORMAT:
+        shown = ("none (written before payload formats were stamped)"
+                 if found is None else repr(found))
+        raise SnapshotError(
+            f"{source}: payload format {shown} is not the expected "
+            f"format {PAYLOAD_FORMAT}; re-capture the image with this "
+            f"version")
 
 
 def _rebuild_observability(net) -> None:
@@ -221,6 +245,7 @@ def load(path: str) -> Snapshot:
         if header.get("kind") != SNAPSHOT_KIND:
             raise SnapshotError(f"{path}: kind={header.get('kind')!r} is "
                                 f"not a warm snapshot")
+        _check_payload_format(header, source=path)
         payload = fh.read()
     expected = header.get("payload_bytes")
     if expected is not None and expected != len(payload):
