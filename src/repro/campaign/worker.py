@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue
 import time
 import traceback
@@ -25,7 +24,7 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..chaos import ChaosEngine, FaultSchedule
 from ..sim import gcpolicy
-from ..snapshot import Snapshot, discard, fork
+from ..snapshot import Snapshot, cow_call, discard, fork
 from .signature import scenario_signature, signature_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,33 +79,12 @@ def run_scenario(net, schedule: FaultSchedule,
 
 
 def _cow_eval(net, schedule: FaultSchedule, cfg: "CampaignConfig") -> dict:
-    """One scenario in a copy-on-write child of the materialized net."""
-    rd, wr = os.pipe()
-    pid = os.fork()
-    if pid == 0:                                   # child
-        os.close(rd)
-        gcpolicy.cow_child()
-        code = 0
-        try:
-            payload = ("ok", run_scenario(net, schedule, cfg))
-        except BaseException:
-            payload = ("error", traceback.format_exc())
-        try:
-            with os.fdopen(wr, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException:
-            code = 1
-        os._exit(code)
-    os.close(wr)                                   # parent
-    with os.fdopen(rd, "rb") as fh:
-        blob = fh.read()
-    os.waitpid(pid, 0)
-    if not blob:
-        raise CampaignError("scenario child died before reporting")
-    status, payload = pickle.loads(blob)
-    if status != "ok":
-        raise CampaignError(f"scenario failed in the fork child:\n{payload}")
-    return payload
+    """One scenario in a copy-on-write child of the materialized net
+    (:func:`repro.snapshot.cow_call`)."""
+    result, _cost = cow_call(lambda: run_scenario(net, schedule, cfg),
+                             f"scenario (schedule seed {schedule.seed})",
+                             CampaignError)
+    return result
 
 
 def _pool_worker(snap: Snapshot, net, cfg, requests, results) -> None:

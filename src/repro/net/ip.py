@@ -33,7 +33,8 @@ def _parse_ipv4(text: str) -> int:
 
 
 def _format_ipv4(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return (f"{value >> 24}.{(value >> 16) & 0xFF}."
+            f"{(value >> 8) & 0xFF}.{value & 0xFF}")
 
 
 class IPv4Address:

@@ -150,20 +150,24 @@ class PrefixTrie:
             bit = (net >> (31 - depth)) & 1
             node = node.children[bit]
             if node is None:
-                return
-        yield from self._walk(node, net >> (32 - pfx.length) if pfx.length else 0,
-                              pfx.length)
+                return iter(())
+        return self._preorder(
+            node, net >> (32 - pfx.length) if pfx.length else 0,
+            pfx.length, keyed=True)
 
     def items(self) -> Iterator[Tuple[Prefix, Any]]:
-        yield from self._walk(self._root, 0, 0)
+        """Every ``(prefix, value)`` in ascending :meth:`Prefix.key` order."""
+        # A generator function, so a tracer that drains generator
+        # boundaries charges the walk to this layer, not the caller.
+        yield from self._preorder(self._root, 0, 0, keyed=True)
 
     def keys(self) -> Iterator[Prefix]:
         for pfx, _value in self.items():
             yield pfx
 
     def values(self) -> Iterator[Any]:
-        for _pfx, value in self.items():
-            yield value
+        """Every value in :meth:`items` order, without building prefixes."""
+        return self._preorder(self._root, 0, 0, keyed=False)
 
     # -- internals -------------------------------------------------------
 
@@ -177,11 +181,30 @@ class PrefixTrie:
                 return None
         return node
 
-    def _walk(self, node: _Node, path: int, depth: int) -> Iterator[Tuple[Prefix, Any]]:
-        if node.has_value:
-            net = path << (32 - depth) if depth else 0
-            yield Prefix(net, depth), node.value
-        for bit in (0, 1):
-            child = node.children[bit]
-            if child is not None:
-                yield from self._walk(child, (path << 1) | bit, depth + 1)
+    @staticmethod
+    def _preorder(node: _Node, path: int, depth: int,
+                  keyed: bool) -> Iterator[Any]:
+        """Pre-order walk from ``node`` (``depth`` bits of ``path`` deep).
+
+        A node before its children and child 0 before child 1 is
+        ascending :meth:`Prefix.key` order.  An explicit stack, not
+        recursion: a recursive generator resumes one frame per trie
+        level for every entry it yields.  Yields ``(Prefix, value)``
+        when ``keyed``, else the bare values.
+        """
+        stack = [(node, path, depth)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, path, depth = pop()
+            if node.has_value:
+                if keyed:
+                    yield (Prefix(path << (32 - depth) if depth else 0,
+                                  depth), node.value)
+                else:
+                    yield node.value
+            zero, one = node.children
+            depth += 1
+            if one is not None:
+                push((one, (path << 1) | 1, depth))
+            if zero is not None:
+                push((zero, path << 1, depth))

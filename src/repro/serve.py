@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue
 import time
 import traceback
@@ -47,8 +46,8 @@ from typing import Dict, List, Optional
 
 from .obs.schema import SCHEMA_VERSION
 from .sim import gcpolicy
-from .snapshot import (Delta, Snapshot, apply_delta, discard, fork,
-                       network_fibs)
+from .snapshot import (Delta, Snapshot, apply_delta, cow_call, discard,
+                       fork, network_fibs)
 
 __all__ = ["AdmissionError", "ServeError", "WhatIfServer"]
 
@@ -132,56 +131,28 @@ def _verdict(ticket: int, delta: Delta, snap: Snapshot,
 
 def _cow_verdict(ticket: int, delta: Delta, net, cache: _FibCache,
                  meta: dict, timeout: float) -> dict:
-    """One verdict in a copy-on-write child of the materialized net.
+    """One verdict in a copy-on-write child of the materialized net
+    (:func:`repro.snapshot.cow_call`).
 
-    The child inherits the converged image, applies the delta, and
-    pickles ``("ok", report_dict)`` — or ``("error", traceback)`` —
-    into a pipe before ``os._exit`` (never returning into the parent's
-    stack).  The parent drains the pipe fully *before* reaping the
-    child: verdicts routinely exceed the pipe buffer, so reading first
-    is what lets the child finish writing.
+    ``timing`` carries the fork's wall clock and the child's own cost
+    next to the verdict's: ``child_cpu_seconds`` and
+    ``child_minor_faults`` (its copy-on-write page copies, mostly).
     """
     started = time.perf_counter()
-    rd, wr = os.pipe()
-    pid = os.fork()
-    if pid == 0:                                   # child
-        os.close(rd)
-        gcpolicy.cow_child()
-        code = 0
-        try:
-            report = apply_delta(net, delta, timeout=timeout,
-                                 fib_reader=cache)
-            payload = ("ok", report.to_dict())
-        except BaseException:
-            payload = ("error", traceback.format_exc())
-        try:
-            with os.fdopen(wr, "wb") as fh:
-                pickle.dump(payload, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException:
-            code = 1
-        os._exit(code)
-    os.close(wr)                                   # parent
-    forked = time.perf_counter()
-    with os.fdopen(rd, "rb") as fh:
-        blob = fh.read()
-    os.waitpid(pid, 0)
-    if not blob:
-        raise ServeError(
-            f"what-if child for ticket {ticket} died before reporting")
-    status, payload = pickle.loads(blob)
-    if status != "ok":
-        raise ServeError(f"ticket {ticket} failed in the what-if child:\n"
-                         f"{payload}")
+
+    def task() -> dict:
+        return apply_delta(net, delta, timeout=timeout,
+                           fib_reader=cache).to_dict()
+
+    report, cost = cow_call(task, f"ticket {ticket}", ServeError)
     done = time.perf_counter()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "whatif-verdict",
         "ticket": ticket,
         "snapshot": meta,
-        "report": payload,
-        "timing": {"fork_seconds": forked - started,
-                   "verdict_seconds": done - started},
+        "report": report,
+        "timing": {"verdict_seconds": done - started, **cost},
     }
 
 

@@ -12,10 +12,14 @@ is the only code in ``src/`` that talks to :mod:`gc`:
   to the phase boundary.  Young collections keep running, so
   short-lived cycles are still reclaimed; the first allocation after
   the scope may pay the one deferred full pass.
+* :func:`collector_stopped` — a re-entrant scope in which no
+  collection of any generation starts, for a build whose survivors
+  are frozen (or whose temporaries die with it) before it returns.
 * :func:`frozen_image` / :func:`release_image` — build a long-lived
-  image (the materialized snapshot COW children fork from) and park it
-  in the permanent generation, with the holders counted so one closing
-  does not thaw what another still serves from.
+  image (the materialized snapshot COW children fork from) with the
+  collector stopped and park it in the permanent generation, with the
+  holders counted so one closing does not thaw what another still
+  serves from.
 * :func:`cow_child` — a forked child that will ``os._exit`` after one
   short task never collects at all.
 
@@ -32,7 +36,8 @@ import contextlib
 import gc
 from typing import Iterator, Optional, Tuple
 
-__all__ = ["bulk_phase", "cow_child", "frozen_image", "release_image"]
+__all__ = ["bulk_phase", "collector_stopped", "cow_child", "frozen_image",
+           "release_image"]
 
 # threshold2 counts generation-1 collections since the last full one;
 # at ~7k allocations each, this many never happen.
@@ -81,21 +86,45 @@ def bulk_phase() -> _BulkPhase:
 
 
 @contextlib.contextmanager
+def collector_stopped() -> Iterator[None]:
+    """Scope in which no collection of any generation starts.
+
+    A zero ``threshold0`` switches automatic collection off without
+    touching ``gc.isenabled()`` (a COW child that disabled the collector
+    stays disabled); the thresholds found on entry come back exactly on
+    the way out, exception or not, and scopes nest with
+    :func:`bulk_phase` either way round.  Unlike a bulk phase this one
+    parks every survivor in generation 0, so it belongs only around a
+    build that ends in :func:`gc.freeze` (which empties the young
+    generations) or whose allocations die before it returns.
+    """
+    saved = gc.get_threshold()
+    gc.set_threshold(0, saved[1], saved[2])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
+
+
+@contextlib.contextmanager
 def frozen_image() -> Iterator[None]:
     """Build a long-lived image in the body; freeze it on success.
 
-    Garbage is purged *before* the build — whatever cycles exist
-    predate it, and this way the pass does not walk the image — and
-    the image goes to the permanent generation before full collections
-    resume, so neither the holder's own loop nor any COW child ever
-    traverses it (a collection also writes GC headers, dirtying shared
-    pages).  Each successful build is one hold; pair it with
-    :func:`release_image`.  A build that raises freezes nothing.
+    The body runs with the collector stopped, and the image goes to the
+    permanent generation before collections resume, so no collection
+    of any generation ever walks it — not this process's, and not a COW
+    child's (a collection also writes GC headers, dirtying shared
+    pages).  Nothing is collected first either: garbage that predates
+    the build is frozen along with it and reclaimed by the last
+    :func:`release_image`.  Each successful build is one hold; pair it
+    with :func:`release_image`.  A build that raises freezes nothing.
     """
     global _holders
-    gc.collect()
-    with bulk_phase():
+    with collector_stopped():
         yield
+        # Inside the scope: with the young generations holding the whole
+        # image, any allocation after the thresholds come back would
+        # start a pass over it.
         gc.freeze()
     _holders += 1
 

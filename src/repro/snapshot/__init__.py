@@ -7,6 +7,7 @@ of O(convergence).  :mod:`repro.serve` drains a queue of deltas through
 forked workers on top of these primitives.
 """
 
+from .cow import cow_call
 from .deltas import (
     ConfigReload,
     Delta,
@@ -41,6 +42,7 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "apply_delta",
+    "cow_call",
     "discard",
     "fork",
     "load",

@@ -125,7 +125,11 @@ def snapshot(net) -> Snapshot:
             f"{', '.join(busy)} (stop the health monitor / let in-flight "
             f"operations finish first)")
     try:
-        with gcpolicy.bulk_phase():
+        # The pickler's temporaries are acyclic and die with the call,
+        # so a collection inside it would walk the net for nothing.
+        # What does survive (the instance __dict__s a first pickle
+        # materializes) gets the one young pass that follows the scope.
+        with gcpolicy.collector_stopped():
             payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise SnapshotError(f"emulation state is not serializable: "

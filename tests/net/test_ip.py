@@ -1,9 +1,13 @@
 """Tests for IPv4 address/prefix value objects."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import IPv4Address, Prefix
-from repro.net.ip import summarize
+from repro.net.ip import _format_ipv4, summarize
 
 
 class TestIPv4Address:
@@ -147,3 +151,15 @@ class TestSummarize:
         blocks = list(Prefix("172.16.0.0/16").subnets(24))
         assert len(blocks) == 256
         assert summarize(blocks) == [Prefix("172.16.0.0/16")]
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("value", [0, 255, 256, 2 ** 32 - 1])
+    def test_edges_match_stdlib(self, value):
+        assert _format_ipv4(value) == str(ipaddress.IPv4Address(value))
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib(self, value):
+        assert _format_ipv4(value) == str(ipaddress.IPv4Address(value))
+        assert str(IPv4Address(value)) == _format_ipv4(value)

@@ -162,3 +162,51 @@ class TestProperties:
         assert list(trie.items()) == []
         # Internal nodes must be pruned too.
         assert trie._root.children == [None, None]
+
+
+def recursive_preorder(node, path=0, depth=0):
+    """The reference walk: recursive, node before children, child 0
+    before child 1."""
+    if node.has_value:
+        yield Prefix(path << (32 - depth) if depth else 0, depth), node.value
+    for bit in (0, 1):
+        child = node.children[bit]
+        if child is not None:
+            yield from recursive_preorder(child, (path << 1) | bit, depth + 1)
+
+
+class TestWalkOrder:
+    """``items``/``values``/``subtree`` share one iterative walk; FIB
+    renders and dumps rely on it yielding ascending ``Prefix.key()``."""
+
+    @given(st.dictionaries(prefix_strategy, st.integers(), max_size=80),
+           st.builds(Prefix, st.integers(0, 0xFFFFFFFF), st.integers(0, 4)))
+    @settings(max_examples=120, deadline=None)
+    def test_walks_match_recursive_reference_in_key_order(self, entries,
+                                                          within):
+        trie = PrefixTrie()
+        for pfx, value in entries.items():
+            trie.insert(pfx, value)
+        expected = sorted(entries.items(), key=lambda item: item[0].key())
+        assert list(recursive_preorder(trie._root)) == expected
+        assert list(trie.items()) == expected
+        assert list(trie.values()) == [value for _pfx, value in expected]
+        assert list(trie.keys()) == [pfx for pfx, _value in expected]
+        inside = [(pfx, value) for pfx, value in expected
+                  if within.contains(pfx)]
+        assert list(trie.subtree(within)) == inside
+
+    def test_subtree_of_a_missing_branch_is_empty(self):
+        trie = PrefixTrie()
+        trie.insert(P("10.0.0.0/8"), "a")
+        assert list(trie.subtree(P("11.0.0.0/8"))) == []
+        assert list(trie.subtree(P("10.0.0.0/16"))) == []
+
+    def test_full_depth_walk(self):
+        trie = PrefixTrie()
+        trie.insert(P("0.0.0.0/0"), "default")
+        trie.insert(P("255.255.255.255/32"), "top")
+        trie.insert(P("0.0.0.0/32"), "bottom")
+        assert list(trie.items()) == [(P("0.0.0.0/0"), "default"),
+                                      (P("0.0.0.0/32"), "bottom"),
+                                      (P("255.255.255.255/32"), "top")]

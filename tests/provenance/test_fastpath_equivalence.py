@@ -9,8 +9,10 @@ vendor-profile assignments so both aggregation quirk paths (inherit-best
 and reset-path) are covered on each side of the toggle.
 
 The GC policy (:mod:`repro.sim.gcpolicy`) gets the same treatment with
-its scope replaced by a null context manager: it has no kill switch in
-``src/`` because this row shows there is nothing for one to change.
+its scopes replaced by null context managers: it has no kill switch in
+``src/`` because this row shows there is nothing for one to change
+(``tests/sim/test_gcpolicy.py`` does the same for the warm path:
+snapshot payloads, FIB renders and verdicts).
 """
 
 import json
@@ -106,6 +108,7 @@ def test_netscope_explain_byte_identical(on_off, tmp_path, capsys):
 def test_gc_scope_changes_no_state(vendors, monkeypatch, tmp_path, capsys):
     scoped = snapshot(*vendors)
     monkeypatch.setattr(gcpolicy, "bulk_phase", nullcontext)
+    monkeypatch.setattr(gcpolicy, "collector_stopped", nullcontext)
     bare = snapshot(*vendors)
     assert scoped == bare                   # FIBs and provenance dump
     assert (explained(scoped[1], tmp_path / "scoped.json", capsys)
